@@ -13,9 +13,9 @@
 // corrupted, mismatched) candidate, and falls back — to an older snapshot or
 // a cold start — without ever applying partial state.
 //
-// The BENCH_aging_campaign.json a resumed run writes is bit-identical to an
-// unkilled reference (CI's kill-and-resume smoke job diffs them, ignoring
-// wall-clock fields only).
+// The BENCH_aging_campaign.json a resumed run writes is byte-identical to an
+// unkilled reference's (CI's kill-and-resume smoke job compares them with
+// cmp). It holds simulation state only; no field comes from a clock.
 //
 // Knobs: --days=N (campaign length), --checkpoint-every=K (segment days),
 // --checkpoint-dir=PATH (or MRMSIM_CHECKPOINT_DIR; default "."),
@@ -395,8 +395,7 @@ int main(int argc, char** argv) {
   }
 
   // The report: every metric below is simulation state, so a killed-and-
-  // resumed campaign's JSON is bit-identical to an unkilled one's (only
-  // wall-clock fields differ).
+  // resumed campaign's JSON is byte-identical to an unkilled one's.
   bench::BenchRunner runner("aging_campaign");
   runner.SetConfig("suite", "multi-month aging campaign over the F2 fault ladder");
   runner.SetConfig("days", std::to_string(args.days));

@@ -3,14 +3,16 @@
 //
 // Part 1: cycle-level sequential-read bandwidth of every DRAM preset vs.
 //         the analytic stream model (cross-validation).
-// Part 2: shard scaling — the same HBM3e sequential stream executed
-//         serially and on a channel-sharded worker pool (--sim-threads=N);
-//         metrics are bit-identical, only events/sec moves.
+// Part 2: shard identity — the same HBM3e sequential stream executed
+//         serially and on a channel-sharded worker pool (--sim-threads=N),
+//         plus speculative and bursty variants; metrics are bit-identical
+//         at any thread count, epoch batch or speculation window.
 // Part 3: decode-step roofline — memory-bound fraction as accelerator
 //         compute scales, on HBM and on an MRM weights tier.
 //
 // Runs through BenchRunner, so the sweep also lands in
-// BENCH_e12_bandwidth.json for scripted before/after comparisons.
+// BENCH_e12_bandwidth.json, which CI compares with cmp across thread counts,
+// epoch batches and audited (MRMSIM_CHECK=1) runs.
 
 #include <cstdio>
 #include <string>
@@ -33,8 +35,6 @@ using namespace mrm;  // NOLINT: bench binary
 struct BandwidthRun {
   double bytes_per_s = 0.0;
   std::uint64_t events = 0;
-  sim::EpochSchedStats sched;
-  mem::SpecStats spec;
 };
 
 BandwidthRun MeasureSequentialBandwidth(const mem::DeviceConfig& config, int sim_threads,
@@ -56,8 +56,6 @@ BandwidthRun MeasureSequentialBandwidth(const mem::DeviceConfig& config, int sim
   BandwidthRun run;
   run.bytes_per_s = done ? static_cast<double>(bytes) / simulator.now_seconds() : 0.0;
   run.events = simulator.events_executed();
-  run.sched = simulator.epoch_sched_stats();
-  run.spec = system.GetSpecStats();
   return run;
 }
 
@@ -87,22 +85,7 @@ BandwidthRun MeasureBurstyBandwidth(int sim_threads, int epoch_batch, sim::Tick 
   BandwidthRun run;
   run.bytes_per_s = static_cast<double>(done_bytes) / simulator.now_seconds();
   run.events = simulator.events_executed();
-  run.sched = simulator.epoch_sched_stats();
-  run.spec = system.GetSpecStats();
   return run;
-}
-
-// Scheduler/speculation telemetry for a shard point: `sched_` fields vary
-// with the epoch-batch and speculation knobs (that is their entire effect)
-// and `spec_` with the window, so both prefixes are excluded from CI's
-// cross-knob identity diffs.
-void AddShardTelemetry(bench::PointResult& r, const BandwidthRun& run) {
-  r.metrics["sched_epochs"] = static_cast<double>(run.sched.epochs);
-  r.metrics["sched_hub_steps"] = static_cast<double>(run.sched.hub_steps);
-  r.metrics["sched_dispatches"] = static_cast<double>(run.sched.dispatches);
-  r.metrics["sched_spec_epochs"] = static_cast<double>(run.sched.spec_epochs);
-  r.metrics["spec_rollbacks"] = static_cast<double>(run.spec.rollbacks);
-  r.metrics["spec_commits"] = static_cast<double>(run.spec.spec_commits);
 }
 
 workload::EngineSummary RunDecodeHeavy(workload::MemoryBackend* backend, double tflops) {
@@ -136,11 +119,7 @@ int main(int argc, char** argv) {
   std::printf("E12: bandwidth validation and the memory-bound roofline (§2.1/§3)\n");
 
   bench::BenchRunner runner("e12_bandwidth");
-  runner.SetSimThreads(sim_threads);
   runner.SetConfig("suite", "sequential bandwidth + decode roofline");
-  runner.SetConfig("sim_threads", std::to_string(sim_threads));
-  runner.SetConfig("epoch_batch", std::to_string(epoch_batch));
-  runner.SetConfig("spec_horizon", std::to_string(spec_horizon));
 
   const std::vector<mem::DeviceConfig> devices = {mem::HBM3Config(), mem::HBM3EConfig(),
                                                   mem::LPDDR5XConfig(), mem::DDR5Config()};
@@ -154,42 +133,38 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Shard-scaling pair on the 16-channel device: compare the two labels'
-  // events/sec for the parallel-engine speedup (run under
-  // MRMSIM_BENCH_THREADS=1 so the bench pool does not steal cores).
-  for (const int threads : {1, sim_threads}) {
-    const std::string label =
-        threads == 1 ? "bw_hbm3e_shard_serial" : "bw_hbm3e_shard_parallel";
+  // Shard pair on the 16-channel device: the same stream serially and on
+  // the sharded worker pool. Labels stay fixed as --sim-threads varies, so
+  // runs at different thread counts write byte-identical files.
+  for (const bool parallel : {false, true}) {
+    const std::string label = parallel ? "bw_hbm3e_shard_parallel" : "bw_hbm3e_shard_serial";
+    const int threads = parallel ? sim_threads : 1;
     runner.Add(label, [threads, epoch_batch](bench::PointResult& r) {
       const BandwidthRun run = MeasureSequentialBandwidth(mem::HBM3EConfig(), threads, epoch_batch);
       r.events = run.events;
-      r.metrics["sim_threads"] = static_cast<double>(threads);
       r.metrics["measured_gb_s"] = run.bytes_per_s / 1e9;
-      AddShardTelemetry(r, run);
     });
   }
   // Same sharded stream with speculative lane execution enabled: measured
   // bandwidth is bit-identical to the spec-off pair (the determinism
-  // contract), so this point exists to catch a speculation-induced drift the
-  // moment one appears in CI's spec-on vs spec-off diff. The default window
-  // is sized for this bench's picosecond clock (the fabric hop alone is
-  // 4000 ticks), so a sub-hop window would never engage.
+  // contract), so this point catches a speculation-induced drift in the
+  // stats the moment one appears. Its `events` count lane work a rollback
+  // re-executed, so it moves with the window. The default window is sized
+  // for this bench's picosecond clock (the fabric hop alone is 4000 ticks),
+  // so a sub-hop window would never engage.
   runner.Add("bw_hbm3e_shard_parallel_spec", [sim_threads, epoch_batch,
                                               spec_horizon](bench::PointResult& r) {
     const BandwidthRun run =
         MeasureSequentialBandwidth(mem::HBM3EConfig(), sim_threads, epoch_batch,
                                    spec_horizon > 0 ? spec_horizon : sim::Tick{65536});
     r.events = run.events;
-    r.metrics["sim_threads"] = static_cast<double>(sim_threads);
     r.metrics["measured_gb_s"] = run.bytes_per_s / 1e9;
-    AddShardTelemetry(r, run);
   });
 
-  // Bursty duty-cycled pair on the same device: this is where speculation's
-  // dispatch collapse shows up in this suite (the saturated sequential
-  // stream above never quiesces, so its spec point records honest overhead
-  // instead). The spec-on window must cover the 2 us inter-burst gap on the
-  // picosecond clock, hence the 4M-tick default.
+  // Bursty duty-cycled pair on the same device: the shape where quiescent
+  // lanes speculate across whole idle gaps (the saturated sequential stream
+  // above never quiesces). The spec-on window must cover the 2 us
+  // inter-burst gap on the picosecond clock, hence the 4M-tick default.
   for (const bool spec_on : {false, true}) {
     const std::string label = spec_on ? "bw_hbm3e_burst_spec_on" : "bw_hbm3e_burst_spec_off";
     runner.Add(label, [sim_threads, epoch_batch, spec_horizon, spec_on](bench::PointResult& r) {
@@ -198,9 +173,7 @@ int main(int argc, char** argv) {
                    : (spec_horizon > 0 ? spec_horizon : sim::Tick{4 * 1024 * 1024});
       const BandwidthRun run = MeasureBurstyBandwidth(sim_threads, epoch_batch, window);
       r.events = run.events;
-      r.metrics["sim_threads"] = static_cast<double>(sim_threads);
       r.metrics["measured_gb_s"] = run.bytes_per_s / 1e9;
-      AddShardTelemetry(r, run);
     });
   }
 

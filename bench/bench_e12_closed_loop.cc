@@ -9,8 +9,8 @@
 //         the ≤10% acceptance bound pins (closed_loop_validation_test.cc).
 // Part 2: full serving run — J/token and decode tokens/s per backend.
 // Part 3: shard pair — the sim backend at --sim-threads 1 and N; every
-//         deterministic metric is bit-identical, only wall clock moves (the
-//         CI closed-loop smoke job diffs the two JSON files).
+//         metric is bit-identical, so CI's audited runs at 1 and 4 threads
+//         write byte-identical JSON files (compared with cmp).
 //
 // Runs through BenchRunner and lands in BENCH_e12_closed_loop.json.
 
@@ -95,10 +95,7 @@ int main(int argc, char** argv) {
   std::printf("E12b: closed-loop inference, analytic vs. cycle-level (DESIGN.md §11)\n");
 
   bench::BenchRunner runner("e12_closed_loop");
-  runner.SetSimThreads(sim_threads);
   runner.SetConfig("suite", "closed-loop decode validation");
-  runner.SetConfig("sim_threads", std::to_string(sim_threads));
-  runner.SetConfig("spec_horizon", std::to_string(spec_horizon));
 
   const workload::TierSpec hbm = tier::TierSpecFromDevice(mem::HBM3EConfig(), 8);
   const std::uint64_t weight_bytes = workload::Llama2_70B().weight_bytes();
@@ -112,13 +109,12 @@ int main(int argc, char** argv) {
   });
 
   // The shard pair: identical workload at 1 and N worker threads. Every
-  // metric below is deterministic — the CI smoke job diffs the two runs'
-  // JSON modulo wall-clock fields to prove bit-identity.
+  // metric below is deterministic, so two runs' JSON files are compared
+  // whole to prove bit-identity.
   for (const bool parallel : {false, true}) {
-    // The label stays fixed as --sim-threads varies so the CI smoke job can
-    // diff two runs' JSON directly. The same holds for --sim-spec-horizon:
-    // speculative lane execution must not move any deterministic metric, so
-    // the spec-on vs spec-off CI diff compares these very labels.
+    // The label stays fixed as --sim-threads varies so two runs' files can
+    // be compared directly. Speculative lane execution (--sim-spec-horizon)
+    // must not move any metric either.
     const std::string label = parallel ? "sim_hbm_parallel" : "sim_hbm_serial";
     const int threads = parallel ? sim_threads : 1;
     runner.Add(label, [threads, hbm, weight_bytes, spec_horizon](bench::PointResult& r) {
@@ -136,7 +132,6 @@ int main(int argc, char** argv) {
 
       const auto summary = RunServing(&backend);
       FillServingMetrics(summary, r);
-      r.metrics["sim_threads"] = static_cast<double>(threads);
       r.metrics["dram_bytes"] = static_cast<double>(backend.sim_stats().dram_bytes);
       r.metrics["dram_segments"] =
           static_cast<double>(backend.sim_stats().dram_segments);

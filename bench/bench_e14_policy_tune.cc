@@ -8,9 +8,9 @@
 // winner is the validated candidate that strictly beats the static 10-year
 // SCM baseline on J/token at equal-or-better usable capacity.
 //
-// Metric labels are fixed per candidate so the CI policy-smoke job can diff
-// a --sim-threads=1 run against a --sim-threads=4 run directly (everything
-// but wall clock is bit-identical). Lands in BENCH_e14_policy_tune.json.
+// Metric labels are fixed per candidate, so a --sim-threads=1 run and a
+// --sim-threads=4 run write byte-identical BENCH_e14_policy_tune.json files
+// (CI compares them with cmp).
 
 #include <cstdio>
 #include <string>
@@ -47,9 +47,7 @@ int main(int argc, char** argv) {
   }
 
   bench::BenchRunner runner("e14_policy_tune");
-  runner.SetSimThreads(sim_threads);
   runner.SetConfig("suite", "policy autotune, analytic grid + sim validation");
-  runner.SetConfig("sim_threads", std::to_string(sim_threads));
   runner.SetConfig("policy_preset", preset.empty() ? "(default grid)" : preset);
   runner.SetConfig("fault_rate", std::to_string(options.fault_rate));
   runner.SetConfig("agreement_bound", std::to_string(options.agreement_bound));

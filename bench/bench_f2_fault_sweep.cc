@@ -13,8 +13,8 @@
 //
 // Two fabric points exercise the mem::MemorySystem stall / dropped-completion
 // paths serially and on a sharded worker pool; their metrics must be
-// bit-identical at any --sim-threads (the CI fault-smoke job diffs the JSON
-// of a 1-thread and a 4-thread run).
+// bit-identical at any --sim-threads (CI compares the JSON of an audited
+// 1-thread and 4-thread run with cmp).
 //
 // Fault overrides: --fault-seed=N picks the injector seed; the MRMSIM_FAULTS
 // spec (see README "Fault injection") overrides any other rate. Runs through
@@ -214,11 +214,8 @@ int main(int argc, char** argv) {
   std::printf("F2: fault-rate x ECC-strength sweep through the RAS recovery path (§4)\n");
 
   bench::BenchRunner runner("f2_fault_sweep");
-  runner.SetSimThreads(sim_threads);
   runner.SetConfig("suite", "fault injection: availability/goodput vs rate x ecc_t");
   runner.SetConfig("fault_seed", std::to_string(base.seed));
-  runner.SetConfig("sim_threads", std::to_string(sim_threads));
-  runner.SetConfig("spec_horizon", std::to_string(spec_horizon));
 
   const std::vector<double> rates = {0.0, 1e-4, 3e-4, 1e-3, 3e-3};
   const std::vector<int> ecc_strengths = {4, 16, 64};
@@ -256,7 +253,7 @@ int main(int argc, char** argv) {
 
   // Fabric pair: identical fault schedule serially and sharded. Both labels'
   // metrics must match each other — and a run at any other --sim-threads —
-  // bit for bit (the determinism claim; CI diffs the JSON).
+  // bit for bit (the determinism claim; CI compares the JSON with cmp).
   runner.Add("fabric_faults_shard_serial",
              [base](bench::PointResult& r) { RunFabricPoint(1, /*spec_horizon=*/0, base, r); });
   runner.Add("fabric_faults_shard_parallel", [sim_threads, spec_horizon,

@@ -1,7 +1,6 @@
 #include "bench/common/bench_runner.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -9,12 +8,6 @@
 namespace mrm {
 namespace bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point begin, Clock::time_point end) {
-  return std::chrono::duration<double>(end - begin).count();
-}
 
 // %.17g round-trips IEEE doubles exactly, so two runs that computed the same
 // value print the same bytes — the property the single- vs multi-threaded
@@ -116,11 +109,6 @@ long long ParseKnob(int argc, char** argv, const char* arg_prefix, const char* e
 
 }  // namespace
 
-int ParseSpinsPerYield(int argc, char** argv, int fallback) {
-  return static_cast<int>(ParseKnob(argc, argv, "--spins-per-yield=", "MRMSIM_SPINS_PER_YIELD",
-                                    /*min_valid=*/0, fallback, "spins-per-yield"));
-}
-
 std::uint64_t ParseSpecHorizon(int argc, char** argv, std::uint64_t fallback) {
   return static_cast<std::uint64_t>(
       ParseKnob(argc, argv, "--sim-spec-horizon=", "MRMSIM_SPEC_HORIZON",
@@ -180,7 +168,6 @@ int BenchRunner::RunAndReport(unsigned requested_threads) {
   const unsigned threads = ResolveThreads(requested_threads);
 
   results_.assign(points_.size(), {});
-  wall_seconds_.assign(points_.size(), 0.0);
   for (std::size_t i = 0; i < points_.size(); ++i) {
     results_[i].first = points_[i].label;
   }
@@ -195,13 +182,10 @@ int BenchRunner::RunAndReport(unsigned requested_threads) {
       if (i >= points_.size()) {
         return;
       }
-      const auto begin = Clock::now();
       points_[i].fn(results_[i].second);
-      wall_seconds_[i] = Seconds(begin, Clock::now());
     }
   };
 
-  const auto sweep_begin = Clock::now();
   if (threads <= 1) {
     worker();
   } else {
@@ -214,32 +198,16 @@ int BenchRunner::RunAndReport(unsigned requested_threads) {
       t.join();
     }
   }
-  total_wall_seconds_ = Seconds(sweep_begin, Clock::now());
 
-  std::uint64_t total_events = 0;
+  std::printf("\n%-34s %14s\n", "point", "events");
   for (const auto& [label, result] : results_) {
-    total_events += result.events;
+    std::printf("%-34s %14llu\n", label.c_str(), static_cast<unsigned long long>(result.events));
   }
 
-  std::printf("\n%-34s %14s %12s %16s\n", "point", "events", "wall s", "events/sec");
-  for (std::size_t i = 0; i < results_.size(); ++i) {
-    const PointResult& r = results_[i].second;
-    const double rate = wall_seconds_[i] > 0.0 ? static_cast<double>(r.events) / wall_seconds_[i]
-                                               : 0.0;
-    std::printf("%-34s %14llu %12.4f %16.0f\n", results_[i].first.c_str(),
-                static_cast<unsigned long long>(r.events), wall_seconds_[i], rate);
-  }
-  const double total_rate =
-      total_wall_seconds_ > 0.0 ? static_cast<double>(total_events) / total_wall_seconds_ : 0.0;
-  std::printf("%-34s %14llu %12.4f %16.0f  (%u threads)\n", "TOTAL",
-              static_cast<unsigned long long>(total_events), total_wall_seconds_, total_rate,
-              threads);
-
-  return WriteJson(threads, total_wall_seconds_, wall_seconds_) ? 0 : 1;
+  return WriteJson() ? 0 : 1;
 }
 
-bool BenchRunner::WriteJson(unsigned threads, double total_wall_seconds,
-                            const std::vector<double>& point_wall_seconds) const {
+bool BenchRunner::WriteJson() const {
   std::string path = "BENCH_" + name_ + ".json";
   if (const char* dir = std::getenv("MRMSIM_BENCH_OUT")) {
     path = std::string(dir) + "/" + path;
@@ -250,35 +218,9 @@ bool BenchRunner::WriteJson(unsigned threads, double total_wall_seconds,
     return false;
   }
 
-  std::uint64_t total_events = 0;
-  for (const auto& [label, result] : results_) {
-    total_events += result.events;
-  }
-
-  // "threads" is the sim worker-pool size when the bench declared one (the
-  // count that shapes the simulation's own numbers); the pool that merely
-  // runs points side by side is "bench_threads". hardware_threads records
-  // the machine the numbers came from: wall-clock figures (and any
-  // parallel-speedup point pair) are meaningless without knowing how many
-  // cores were actually available.
   std::fprintf(f, "{\n  \"bench\": ");
   PrintJsonString(f, name_);
-  std::fprintf(f,
-               ",\n  \"threads\": %u,\n  \"bench_threads\": %u,\n  \"hardware_threads\": %u,\n",
-               sim_threads_ > 0 ? static_cast<unsigned>(sim_threads_) : threads, threads,
-               std::thread::hardware_concurrency());
-
-  // Provenance: which tree produced these numbers and whether the static
-  // analysis layer (DESIGN.md §12) passed on it. tools/tier1.sh exports both
-  // variables after running the lints; a bench launched by hand stamps
-  // "unknown" rather than implying a verdict nobody computed.
-  const char* git_sha = std::getenv("MRMSIM_GIT_SHA");
-  const char* lint_status = std::getenv("MRMSIM_LINT_CLEAN");
-  std::fputs("  \"lint_clean\": {\n    \"git_sha\": ", f);
-  PrintJsonString(f, git_sha != nullptr ? git_sha : "unknown");
-  std::fputs(",\n    \"status\": ", f);
-  PrintJsonString(f, lint_status != nullptr ? lint_status : "unknown");
-  std::fputs("\n  },\n  \"config\": {", f);
+  std::fputs(",\n  \"config\": {", f);
   bool first = true;
   for (const auto& [key, value] : config_) {
     std::fprintf(f, "%s\n    ", first ? "" : ",");
@@ -287,29 +229,14 @@ bool BenchRunner::WriteJson(unsigned threads, double total_wall_seconds,
     PrintJsonString(f, value);
     first = false;
   }
-  std::fprintf(f, "%s},\n", config_.empty() ? "" : "\n  ");
-
-  const double total_rate =
-      total_wall_seconds > 0.0 ? static_cast<double>(total_events) / total_wall_seconds : 0.0;
-  std::fprintf(f, "  \"totals\": {\n    \"wall_seconds\": ");
-  PrintDouble(f, total_wall_seconds);
-  std::fprintf(f, ",\n    \"events\": %llu,\n    \"events_per_sec\": ",
-               static_cast<unsigned long long>(total_events));
-  PrintDouble(f, total_rate);
-  std::fprintf(f, "\n  },\n  \"points\": [");
+  std::fprintf(f, "%s},\n  \"points\": [", config_.empty() ? "" : "\n  ");
 
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const PointResult& r = results_[i].second;
-    const double wall = point_wall_seconds[i];
-    const double rate = wall > 0.0 ? static_cast<double>(r.events) / wall : 0.0;
     std::fprintf(f, "%s\n    {\n      \"label\": ", i == 0 ? "" : ",");
     PrintJsonString(f, results_[i].first);
-    std::fprintf(f, ",\n      \"wall_seconds\": ");
-    PrintDouble(f, wall);
-    std::fprintf(f, ",\n      \"events\": %llu,\n      \"events_per_sec\": ",
+    std::fprintf(f, ",\n      \"events\": %llu,\n      \"metrics\": {",
                  static_cast<unsigned long long>(r.events));
-    PrintDouble(f, rate);
-    std::fprintf(f, ",\n      \"metrics\": {");
     bool first_metric = true;
     for (const auto& [key, value] : r.metrics) {
       std::fprintf(f, "%s\n        ", first_metric ? "" : ",");

@@ -5,8 +5,11 @@
 // Determinism contract: every point function must be self-contained (own
 // Simulator / RNG, no shared mutable state), so the per-point `events` and
 // `metrics` are bit-identical whether the sweep runs on one thread or many.
-// Only wall-clock fields vary between runs. Results are stored and reported
-// in registration order regardless of which thread finished first.
+// The runner times nothing and records no thread count, so the whole file is
+// a function of the model: two runs of the same tree write the same bytes.
+// Host speed is measured by the repository benchmark (mrmbench/README.md).
+// Results are stored and reported in registration order regardless of which
+// thread finished first.
 
 #ifndef MRMSIM_BENCH_COMMON_BENCH_RUNNER_H_
 #define MRMSIM_BENCH_COMMON_BENCH_RUNNER_H_
@@ -35,15 +38,6 @@ int ParseSimThreads(int argc, char** argv, int fallback = 1);
 // 1 disables batching; values < 0 resolve to 0.
 int ParseEpochBatch(int argc, char** argv, int fallback = 0);
 
-// Spin-then-yield budget of the sim worker pool's barriers
-// (sim::Simulator::SetSpinsPerYield inside a point). Resolution order: a
-// `--spins-per-yield=N` argument, the MRMSIM_SPINS_PER_YIELD environment
-// variable, then `fallback`. 0 (the default fallback) keeps the executor's
-// built-in budget — points should only call SetSpinsPerYield for values > 0.
-// Bad values (negative or non-numeric) are ignored with a one-line stderr
-// diagnostic.
-int ParseSpinsPerYield(int argc, char** argv, int fallback = 0);
-
 // Speculation window in ticks (sim::Simulator::SetSpeculationWindow inside a
 // point): how far past the conservative epoch horizon a quiescent lane may
 // run optimistically before deterministic rollback covers for it. Resolution
@@ -61,11 +55,10 @@ std::uint64_t ParseSpecHorizon(int argc, char** argv, std::uint64_t fallback = 0
 // diagnostic; an empty value falls back with a one-line stderr note.
 std::string ParsePolicyPreset(int argc, char** argv, const std::string& fallback);
 
-// Filled in by a point function; wall time is measured by the runner around
-// the call. `events` is whatever unit of work the bench counts (simulator
-// events, requests, ...) and drives the events/sec throughput figures.
-// `metrics` holds the point's simulation results (latencies, bandwidths,
-// energies, ...) — the deterministic part compared between runs.
+// Filled in by a point function. `events` is whatever unit of work the bench
+// counts (simulator events, requests, ...); `metrics` holds the point's
+// simulation results (latencies, bandwidths, energies, ...). Both are
+// deterministic and compared byte for byte between runs.
 struct PointResult {
   std::uint64_t events = 0;
   std::map<std::string, double> metrics;
@@ -80,14 +73,10 @@ class BenchRunner {
   // self-contained (see determinism contract above).
   void Add(std::string label, std::function<void(PointResult&)> fn);
 
-  // Static key/value context recorded in the JSON "config" object.
+  // Static key/value context recorded in the JSON "config" object. Record
+  // only what defines the model; a knob whose value cannot change the
+  // results (thread counts, batching, speculation) does not belong here.
   void SetConfig(std::string key, std::string value);
-
-  // Declares the sim worker-pool size the points run with. When set (> 0),
-  // the JSON's top-level "threads" reports this — the thread count that
-  // shapes the simulation numbers — and the bench pool size moves to
-  // "bench_threads". Unset, "threads" falls back to the bench pool size.
-  void SetSimThreads(int sim_threads) { sim_threads_ = sim_threads; }
 
   // Runs all points on a pool of `threads` threads (0 = MRMSIM_BENCH_THREADS
   // env var, else hardware_concurrency), prints a table, writes
@@ -105,16 +94,12 @@ class BenchRunner {
   };
 
   unsigned ResolveThreads(unsigned requested) const;
-  bool WriteJson(unsigned threads, double total_wall_seconds,
-                 const std::vector<double>& point_wall_seconds) const;
+  bool WriteJson() const;
 
   std::string name_;
-  int sim_threads_ = 0;  // 0 = not declared; see SetSimThreads
   std::vector<Point> points_;
   std::map<std::string, std::string> config_;
   std::vector<std::pair<std::string, PointResult>> results_;
-  std::vector<double> wall_seconds_;
-  double total_wall_seconds_ = 0.0;
 };
 
 }  // namespace bench

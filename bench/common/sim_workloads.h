@@ -1,11 +1,6 @@
-// Shared simulator workloads used by bench_micro_simulator and the
-// event-core regression tests: event-queue churn patterns plus small
-// closed-loop memory-system runs. Every workload is deterministic (fixed
-// seeds) and self-contained, matching the BenchRunner contract.
-//
-// The queue workloads are written against the Simulator public API only and
-// feature-detect Retime(), so the same source builds against older trees for
-// before/after comparisons.
+// Shared simulator workload used by bench_e10_tech_compare and the bench
+// harness tests: a small closed-loop memory-system run. It is deterministic
+// (fixed seed) and self-contained, matching the BenchRunner contract.
 
 #ifndef MRMSIM_BENCH_COMMON_SIM_WORKLOADS_H_
 #define MRMSIM_BENCH_COMMON_SIM_WORKLOADS_H_
@@ -21,101 +16,6 @@
 namespace mrm {
 namespace bench {
 
-// ---------------------------------------------------------------------------
-// Event-queue churn patterns. Each returns the number of operations performed
-// (executed events, or push/cancel/retime ops for the churn patterns).
-
-// Schedules `n` events at consecutive ticks and drains, `iters` times.
-inline std::uint64_t QueueDispatch(sim::Simulator& sim, int n, int iters) {
-  std::uint64_t executed = 0;
-  for (int it = 0; it < iters; ++it) {
-    for (int i = 0; i < n; ++i) {
-      sim.ScheduleAfter(static_cast<sim::Tick>(i), [] {});
-    }
-    executed += sim.Run();
-  }
-  return executed;
-}
-
-// Schedules `n` events at uniform random offsets in [0, horizon) and drains.
-inline std::uint64_t QueueRandom(sim::Simulator& sim, int n, int iters, std::uint64_t horizon) {
-  std::mt19937_64 rng(42);
-  std::uint64_t executed = 0;
-  for (int it = 0; it < iters; ++it) {
-    for (int i = 0; i < n; ++i) {
-      sim.ScheduleAfter(static_cast<sim::Tick>(rng() % horizon), [] {});
-    }
-    executed += sim.Run();
-  }
-  return executed;
-}
-
-// Steady-state churn: `outstanding` self-rescheduling chains, each hop a
-// random delay in [1, 100], until `events` total callbacks ran. This is the
-// hold-then-pop pattern a running simulation exercises.
-inline std::uint64_t QueueSteady(sim::Simulator& sim, int outstanding, std::int64_t events) {
-  struct Chain {
-    sim::Simulator* sim;
-    std::mt19937_64* rng;
-    std::int64_t* left;
-    void operator()() const {
-      if (--*left > 0) {
-        sim->ScheduleAfter(1 + (*rng)() % 100, *this);
-      }
-    }
-  };
-  std::mt19937_64 rng(7);
-  std::int64_t left = events;
-  for (int i = 0; i < outstanding; ++i) {
-    sim.ScheduleAfter(1 + rng() % 100, Chain{&sim, &rng, &left});
-  }
-  return sim.Run();
-}
-
-// Moves a pending event to `when`: Retime when the tree has it, otherwise
-// the Cancel + ScheduleAt churn it replaces. Templated so the Retime probe
-// stays dependent and the same source builds against pre-Retime trees.
-template <typename Sim>
-sim::EventId RetimeOrReschedule(Sim& sim, sim::EventId id, sim::Tick when) {
-  if constexpr (requires(Sim& s) { s.Retime(id, when); }) {
-    return sim.Retime(id, when);
-  } else {
-    sim.Cancel(id);
-    return sim.ScheduleAt(when, [] {});
-  }
-}
-
-// Controller wake pattern: one long-lived event repeatedly pulled earlier /
-// pushed later, interleaved with short drains.
-inline std::uint64_t QueueRetime(sim::Simulator& sim, std::int64_t ops) {
-  std::mt19937_64 rng(9);
-  std::int64_t done = 0;
-  while (done < ops) {
-    sim::EventId wake = sim.ScheduleAfter(1000000, [] {});
-    for (int j = 0; j < 100; ++j, ++done) {
-      wake = RetimeOrReschedule(sim, wake, sim.now() + 10 + rng() % 50);
-    }
-    sim.Cancel(wake);
-    sim.RunUntil(sim.now() + 500);
-  }
-  sim.Run();
-  return static_cast<std::uint64_t>(done);
-}
-
-// Push + immediate cancel churn with periodic idle drains.
-inline std::uint64_t QueueCancel(sim::Simulator& sim, std::int64_t ops) {
-  for (std::int64_t i = 0; i < ops; ++i) {
-    const sim::EventId id = sim.ScheduleAfter(100 + (i % 997), [] {});
-    sim.Cancel(id);
-    if ((i & 1023) == 0) {
-      sim.RunUntil(sim.now() + 1);
-    }
-  }
-  sim.Run();
-  return static_cast<std::uint64_t>(ops);
-}
-
-// ---------------------------------------------------------------------------
 // Closed-loop memory-system workload: keeps `window` requests outstanding
 // against a MemorySystem until `total` complete. `read_pct` of requests are
 // reads; `seq_pct` stay within a marching hot region (row-hit friendly), the
@@ -189,48 +89,6 @@ inline MemRunResult MemClosedLoop(sim::Simulator& sim, mem::MemorySystem& system
     mem::Request request = issue_one(&state);
     request.on_complete = on_complete;
     system.Enqueue(std::move(request));
-  }
-  sim.Run();
-
-  const mem::SystemStats stats = system.GetStats();
-  MemRunResult result;
-  result.events = sim.events_executed() - start_events;
-  result.reads = stats.reads_completed;
-  result.writes = stats.writes_completed;
-  result.row_hit_rate = stats.row_hit_rate();
-  result.read_latency_mean_ns = stats.read_latency_ns.mean();
-  result.sim_seconds = sim.now_seconds();
-  return result;
-}
-
-// Bursty open-loop workload: `bursts` batches of `burst_size` uniform-random
-// requests land `gap_ticks` apart, the device idle (refresh-paced) between
-// batches. This is the shape where speculative lane execution pays: through
-// each idle gap the conservative driver steps one short epoch per refresh
-// wake across the whole stack, while speculating lanes retire entire refresh
-// trains per dispatch and commit them untouched.
-inline MemRunResult MemBursty(sim::Simulator& sim, mem::MemorySystem& system, int bursts,
-                              int burst_size, sim::Tick gap_ticks, int read_pct,
-                              std::uint64_t rng_seed) {
-  check::ScopedChecker protocol_audit(&sim, &system);
-  const std::uint64_t start_events = sim.events_executed();
-  const std::uint64_t line = system.config().access_bytes;
-  const std::uint64_t lines = system.capacity_bytes() / line;
-
-  std::mt19937_64 rng(rng_seed);
-  for (int b = 0; b < bursts; ++b) {
-    sim.ScheduleAt(static_cast<sim::Tick>(b) * gap_ticks + 1, [&system, &rng, burst_size, lines,
-                                                               line, read_pct] {
-      for (int i = 0; i < burst_size; ++i) {
-        mem::Request request;
-        const bool is_read = static_cast<int>(rng() % 100) < read_pct;
-        request.kind = is_read ? mem::Request::Kind::kRead : mem::Request::Kind::kWrite;
-        request.addr = (rng() % lines) * line;
-        request.size = static_cast<std::uint32_t>(line);
-        request.on_complete = [](const mem::Request&) {};
-        system.Enqueue(std::move(request));
-      }
-    });
   }
   sim.Run();
 

@@ -30,10 +30,6 @@ ParallelExecutor::~ParallelExecutor() {
   }
 }
 
-void ParallelExecutor::SetSpinsPerYield(int spins) {
-  spins_per_yield_.store(spins < 1 ? 1 : spins, std::memory_order_relaxed);
-}
-
 int ParallelExecutor::ActiveParticipants(int task_count) const {
   if (plan_tasks_ == task_count && !plan_starts_.empty()) {
     return static_cast<int>(plan_starts_.size()) - 1;
@@ -52,11 +48,10 @@ std::uint64_t ParallelExecutor::PublishGeneration(int active) {
 }
 
 void ParallelExecutor::AwaitGeneration(std::uint64_t gen_word, int active) {
-  const int spin_budget = spins_per_yield_.load(std::memory_order_relaxed);
   for (int p = 1; p < active; ++p) {
     int spins = 0;
     while (slots_[p - 1].done_gen.load(std::memory_order_acquire) != gen_word) {
-      if (++spins >= spin_budget) {
+      if (++spins >= kSpinsPerYield) {
         spins = 0;
         std::this_thread::yield();
       }
@@ -69,11 +64,10 @@ void ParallelExecutor::JoinAll() {
   // in, even ones that skipped dispatches they were not engaged in: the word
   // differs from their last seen value, so their generation spin wakes.
   const std::uint64_t word = generation_.load(std::memory_order_relaxed);
-  const int spin_budget = spins_per_yield_.load(std::memory_order_relaxed);
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     int spins = 0;
     while (slots_[w].done_gen.load(std::memory_order_acquire) != word) {
-      if (++spins >= spin_budget) {
+      if (++spins >= kSpinsPerYield) {
         spins = 0;
         std::this_thread::yield();
       }
@@ -124,12 +118,10 @@ void ParallelExecutor::WorkerLoop(int participant) {
   for (;;) {
     std::uint64_t word;
     int spins = 0;
-    int spin_budget = spins_per_yield_.load(std::memory_order_relaxed);
     while ((word = generation_.load(std::memory_order_acquire)) == seen) {
-      if (++spins >= spin_budget) {
+      if (++spins >= kSpinsPerYield) {
         spins = 0;
         std::this_thread::yield();
-        spin_budget = spins_per_yield_.load(std::memory_order_relaxed);
       }
     }
     if (shutdown_.load(std::memory_order_acquire)) {
@@ -159,7 +151,7 @@ void ParallelExecutor::WorkerLoop(int participant) {
             DrainAssigned(participant);
             slots_[participant - 1].done_round.store(done, std::memory_order_release);
             spins = 0;
-          } else if (++spins >= spin_budget) {
+          } else if (++spins >= kSpinsPerYield) {
             spins = 0;
             std::this_thread::yield();
           }
@@ -223,13 +215,12 @@ void ParallelExecutor::RunRounds(int task_count, const std::function<void(int)>&
   std::uint64_t round = 1;
   round_.store(round, std::memory_order_relaxed);  // published by the release below
   const std::uint64_t word = PublishGeneration(active);
-  const int spin_budget = spins_per_yield_.load(std::memory_order_relaxed);
   for (;;) {
     DrainAssigned(0);
     for (int p = 1; p < active; ++p) {
       int spins = 0;
       while (slots_[p - 1].done_round.load(std::memory_order_acquire) < round) {
-        if (++spins >= spin_budget) {
+        if (++spins >= kSpinsPerYield) {
           spins = 0;
           std::this_thread::yield();
         }

@@ -82,14 +82,12 @@ class ParallelExecutor {
   // Reverts to static striding over all participants (also synchronizes).
   void ClearPlan();
 
-  // Relaxed polls between sched_yields while waiting (both workers waiting
-  // for work and the caller waiting for check-ins). Higher values burn more
-  // CPU for lower wake latency; the default suits epoch cadences of a few
-  // microseconds.
-  void SetSpinsPerYield(int spins);
-  int spins_per_yield() const { return spins_per_yield_.load(std::memory_order_relaxed); }
-
  private:
+  // Relaxed polls between sched_yields while waiting (both workers waiting
+  // for work and the caller waiting for check-ins). Sized for epoch cadences
+  // of a few microseconds.
+  static constexpr int kSpinsPerYield = 256;
+
   // Per-worker check-in slots. The generation check-in (end of a Run / end
   // of a batch) and the per-round check-in live on separate cache lines:
   // during a batch the caller polls done_round hot while done_gen stays
@@ -143,7 +141,6 @@ class ParallelExecutor {
   const std::function<void(int)>* fn_ MRMSIM_GUARDED_BY(dispatch_role_) = nullptr;
   std::atomic<std::uint64_t> round_{0};
   std::atomic<bool> shutdown_{false};
-  std::atomic<int> spins_per_yield_{256};
   // Plan storage; mutated only while every worker is parked (JoinAll), read
   // by engaged workers after the generation acquire.
   std::vector<int> plan_order_ MRMSIM_GUARDED_BY(dispatch_role_);

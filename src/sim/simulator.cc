@@ -76,9 +76,6 @@ void Simulator::SetWorkerThreads(int threads) {
   executor_.reset();
   if (threads > 1) {
     executor_ = std::make_unique<ParallelExecutor>(threads);
-    if (spins_per_yield_ > 0) {
-      executor_->SetSpinsPerYield(spins_per_yield_);
-    }
   }
   // The lane->participant plan is meaningless for a different pool size;
   // forget the scheduling state so it re-derives from a clean static stride.
@@ -93,13 +90,6 @@ void Simulator::SetWorkerThreads(int threads) {
 void Simulator::SetEpochBatch(int batch) {
   MRM_CHECK(batch >= 0);
   epoch_batch_ = batch;
-}
-
-void Simulator::SetSpinsPerYield(int spins) {
-  spins_per_yield_ = spins < 1 ? 1 : spins;
-  if (executor_ != nullptr) {
-    executor_->SetSpinsPerYield(spins_per_yield_);
-  }
 }
 
 void Simulator::SaveState(SavedState* out) const {

@@ -176,11 +176,6 @@ class Simulator {
   void SetSpeculationWindow(Tick window) { spec_window_ = window; }
   Tick speculation_window() const { return spec_window_; }
 
-  // Spin-then-yield budget for the worker pool's barriers (forwarded to
-  // ParallelExecutor::SetSpinsPerYield; values < 1 clamp to 1). Takes effect
-  // immediately and survives SetWorkerThreads reconfiguration.
-  void SetSpinsPerYield(int spins);
-
   const EpochSchedStats& epoch_sched_stats() const {
     tsa::hub_role.HeldShared();
     return sched_;
@@ -317,8 +312,6 @@ class Simulator {
   int epoch_batch_ = 0;  // 0 = auto
   // snapshot-exempt(performance knob; results are identical for any value)
   Tick spec_window_ = 0;  // 0 = speculation off
-  // snapshot-exempt(performance knob; results are identical for any value)
-  int spins_per_yield_ = 0;  // 0 = executor default
   // snapshot-exempt(test-only mutation hook, never set outside guard tests)
   bool test_ignore_batch_guard_ = false;
   // snapshot-exempt(scheduling telemetry; observability, not simulation state)

@@ -1,8 +1,12 @@
 #include "bench/common/bench_runner.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -45,32 +49,33 @@ void BuildSweep(BenchRunner& runner) {
   }
 }
 
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// The JSON holds modelled outputs only — no wall time, rate or thread count —
+// so the same sweep on bench pools of 1 and 8 threads writes the same bytes.
+// That is what lets CI compare bench outputs with cmp. Doubles print with
+// %.17g, so equal files also mean bit-identical events and metrics.
 TEST(BenchRunner, MultiThreadedSweepMatchesSingleThreaded) {
-  setenv("MRMSIM_BENCH_OUT", "/tmp", 1);
-
-  BenchRunner single("runner_test_st");
-  BuildSweep(single);
-  ASSERT_EQ(single.RunAndReport(/*threads=*/1), 0);
-
-  BenchRunner multi("runner_test_mt");
-  BuildSweep(multi);
-  ASSERT_EQ(multi.RunAndReport(/*threads=*/8), 0);
-
-  ASSERT_EQ(single.results().size(), multi.results().size());
-  for (std::size_t i = 0; i < single.results().size(); ++i) {
-    const auto& [st_label, st] = single.results()[i];
-    const auto& [mt_label, mt] = multi.results()[i];
-    EXPECT_EQ(st_label, mt_label) << "point " << i;
-    EXPECT_EQ(st.events, mt.events) << st_label;
-    ASSERT_EQ(st.metrics.size(), mt.metrics.size()) << st_label;
-    for (const auto& [key, value] : st.metrics) {
-      const auto it = mt.metrics.find(key);
-      ASSERT_NE(it, mt.metrics.end()) << st_label << "." << key;
-      // Bit-identical, not approximately equal: the sweep points must not
-      // share any state for threading to reorder.
-      EXPECT_EQ(value, it->second) << st_label << "." << key;
-    }
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / ("bench_runner_" + std::to_string(::getpid()));
+  std::string files[2];
+  const unsigned pools[2] = {1, 8};
+  for (int k = 0; k < 2; ++k) {
+    const std::filesystem::path dir = root / std::to_string(pools[k]);
+    std::filesystem::create_directories(dir);
+    setenv("MRMSIM_BENCH_OUT", dir.c_str(), 1);
+    BenchRunner runner("runner_test_pools");
+    runner.SetConfig("suite", "bench pool identity");
+    BuildSweep(runner);
+    ASSERT_EQ(runner.RunAndReport(pools[k]), 0);
+    files[k] = ReadFile(dir / "BENCH_runner_test_pools.json");
   }
+  std::filesystem::remove_all(root);
+  ASSERT_NE(files[0].find("\"sim_1\""), std::string::npos) << files[0];
+  EXPECT_EQ(files[0], files[1]);
 }
 
 TEST(BenchRunner, ParseFlagsResolveArgOverEnvOverFallback) {
@@ -126,33 +131,24 @@ TEST(BenchRunner, StrictKnobsRejectBadValuesLoudly) {
     }
     return fn(static_cast<int>(argv.size()), argv.data());
   };
-  const auto spins = [](int c, char** v) { return ParseSpinsPerYield(c, v); };
   const auto spec = [](int c, char** v) { return ParseSpecHorizon(c, v); };
 
-  unsetenv("MRMSIM_SPINS_PER_YIELD");
   unsetenv("MRMSIM_SPEC_HORIZON");
-  EXPECT_EQ(with_args({}, spins), 0);
   EXPECT_EQ(with_args({}, spec), 0u);
-  EXPECT_EQ(with_args({"--spins-per-yield=512"}, spins), 512);
   EXPECT_EQ(with_args({"--sim-spec-horizon=4096"}, spec), 4096u);
 
   // Env applies, an explicit argument wins (the MRMSIM_EPOCH_BATCH pattern).
-  setenv("MRMSIM_SPINS_PER_YIELD", "128", 1);
   setenv("MRMSIM_SPEC_HORIZON", "256", 1);
-  EXPECT_EQ(with_args({}, spins), 128);
   EXPECT_EQ(with_args({}, spec), 256u);
-  EXPECT_EQ(with_args({"--spins-per-yield=64"}, spins), 64);
   EXPECT_EQ(with_args({"--sim-spec-horizon=1024"}, spec), 1024u);
 
   // Malformed or negative values are ignored (with a one-line stderr
   // diagnostic) — the previously-resolved value stands.
-  EXPECT_EQ(with_args({"--spins-per-yield=banana"}, spins), 128);
-  EXPECT_EQ(with_args({"--spins-per-yield=-5"}, spins), 128);
   EXPECT_EQ(with_args({"--sim-spec-horizon=12abc"}, spec), 256u);
-  setenv("MRMSIM_SPINS_PER_YIELD", "not-a-number", 1);
-  EXPECT_EQ(with_args({}, spins), 0);
-  EXPECT_EQ(with_args({"--spins-per-yield=32"}, spins), 32);
-  unsetenv("MRMSIM_SPINS_PER_YIELD");
+  EXPECT_EQ(with_args({"--sim-spec-horizon=-5"}, spec), 256u);
+  setenv("MRMSIM_SPEC_HORIZON", "not-a-number", 1);
+  EXPECT_EQ(with_args({}, spec), 0u);
+  EXPECT_EQ(with_args({"--sim-spec-horizon=32"}, spec), 32u);
   unsetenv("MRMSIM_SPEC_HORIZON");
 }
 

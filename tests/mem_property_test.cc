@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,10 @@ struct PresetCase {
   std::string name;
   DeviceConfig (*make)();
 };
+
+// Without a printer gtest names each test after the parameter's raw bytes,
+// which hold addresses that ASLR moves on every run.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
 
 DeviceConfig SmallHbm3() {
   DeviceConfig config = HBM3Config();

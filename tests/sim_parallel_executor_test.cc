@@ -200,18 +200,6 @@ TEST(ParallelExecutor, RunRoundsZeroTasksStillRunsBetween) {
   EXPECT_EQ(rounds, 5);
 }
 
-TEST(ParallelExecutor, SpinsPerYieldTunableAndClamped) {
-  ParallelExecutor executor(2);
-  executor.SetSpinsPerYield(7);
-  EXPECT_EQ(executor.spins_per_yield(), 7);
-  executor.SetSpinsPerYield(0);  // clamps to 1: a zero budget would never poll
-  EXPECT_EQ(executor.spins_per_yield(), 1);
-  std::vector<std::atomic<int>> hits(5);
-  executor.Run(5, [&](int i) { hits[static_cast<std::size_t>(i)].fetch_add(1); });
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
-  }
-}
 
 TEST(ParallelExecutor, TasksObservePriorGenerationWrites) {
   // Run() is a full barrier: writes made by generation N's tasks must be

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,10 @@ struct ModelCase {
   std::string name;
   FoundationModelConfig (*make)();
 };
+
+// Without a printer gtest names each test after the parameter's raw bytes,
+// which hold addresses that ASLR moves on every run.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
 
 class EnginePropertyTest : public ::testing::TestWithParam<ModelCase> {};
 

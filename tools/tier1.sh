@@ -14,16 +14,15 @@
 #                       unless the build is sanitized)
 #   CMAKE_BUILD_TYPE    build type (default RelWithDebInfo)
 #
-# After the tests pass, the tracked perf benches run with a 1-thread bench
-# pool and a 4-thread sim worker pool and refresh BENCH_micro_simulator
-# .json, BENCH_e12_bandwidth.json, BENCH_e12_closed_loop.json,
-# BENCH_f2_fault_sweep.json and BENCH_e14_policy_tune.json at the repo root; committing them records the
-# perf/RAS/validation trajectory between PRs. MRMSIM_SPEC_HORIZON is pinned
-# to 0 so the spec-off points are genuinely conservative; the speculation
-# story lives in each bench's dedicated *_spec / *_spec_on points, which
-# dial in their own default window when the knob is 0.
-# Sanitized builds skip this — their wall times measure the sanitizer, not
-# the code.
+# After the tests pass, the tracked benches run one point at a time on a
+# 4-thread sim worker pool (so spinning workers do not oversubscribe the
+# cores) and rewrite BENCH_e12_bandwidth.json, BENCH_e12_closed_loop.json,
+# BENCH_f2_fault_sweep.json and BENCH_e14_policy_tune.json at the repo root.
+# They hold modelled outputs only, so a file changes only when the model
+# does; `git status` after this script shows exactly that. The spec-on
+# points dial in their own default speculation window. Sanitized builds
+# skip this step: it would write the same files, only slower.
+# Speed is measured by the repository benchmark (mrmbench/README.md).
 
 set -euo pipefail
 
@@ -45,36 +44,20 @@ if [[ "${MRMSIM_WERROR:-0}" == "1" ]]; then
 fi
 
 # Static analysis layer (DESIGN.md §12). The lints also run as ctest
-# entries; running them first gives the fastest failure. Their verdict plus
-# the tree's git SHA are exported so the tracked bench JSONs carry a
-# lint_clean provenance stamp — a recorded perf point says which tree it
-# measured and that the tree was statically clean (benches launched outside
-# this script stamp "unknown").
-LINT_CLEAN=pass
+# entries; running them first gives the fastest failure.
 if command -v python3 > /dev/null 2>&1; then
   python3 tools/lint/determinism_lint.py
   python3 tools/lint/snapshot_lint.py
-else
-  LINT_CLEAN=unknown
 fi
 tools/check/thread_safety_negative.sh || [[ $? -eq 77 ]]
-export MRMSIM_LINT_CLEAN="$LINT_CLEAN"
-MRMSIM_GIT_SHA="$(git rev-parse --short HEAD 2> /dev/null || echo unknown)"
-if [[ "$MRMSIM_GIT_SHA" != unknown ]] && ! git diff --quiet HEAD 2> /dev/null; then
-  MRMSIM_GIT_SHA="$MRMSIM_GIT_SHA-dirty"
-fi
-export MRMSIM_GIT_SHA
 
 cmake -S . -B "$BUILD_DIR" "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 if [[ "${MRMSIM_BENCH:-1}" == "1" && "${MRMSIM_SANITIZE:-0}" != "1" ]]; then
-  cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target bench_micro_simulator bench_e12_bandwidth bench_e12_closed_loop \
-    bench_f2_fault_sweep bench_e14_policy_tune
-  for bench in bench_micro_simulator bench_e12_bandwidth bench_e12_closed_loop \
-               bench_f2_fault_sweep bench_e14_policy_tune; do
+  for bench in bench_e12_bandwidth bench_e12_closed_loop bench_f2_fault_sweep \
+               bench_e14_policy_tune; do
     MRMSIM_BENCH_THREADS=1 MRMSIM_SIM_THREADS=4 MRMSIM_SPEC_HORIZON=0 \
       MRMSIM_BENCH_OUT="$PWD" "./$BUILD_DIR/bench/$bench"
   done
